@@ -2,8 +2,10 @@ package rf
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // The on-disk format mirrors the in-memory structures with exported
@@ -75,6 +77,11 @@ func Load(r io.Reader) (*Forest, error) {
 		nFeatures: pf.NFeatures,
 		rng:       nil, // set lazily by WarmStart if ever needed
 	}
+	for i := range pf.Trees {
+		if err := pf.Trees[i].validate(pf.NFeatures); err != nil {
+			return nil, fmt.Errorf("rf: tree %d: %w", i, err)
+		}
+	}
 	for _, pt := range pf.Trees {
 		t := &tree{
 			nodes:    make([]node, len(pt.Nodes)),
@@ -89,4 +96,39 @@ func Load(r io.Reader) (*Forest, error) {
 		f.trees = append(f.trees, t)
 	}
 	return f, nil
+}
+
+// validate checks that a decoded tree is one Save could have written,
+// so that a corrupt model file fails to load rather than hanging or
+// panicking at prediction time. Every split must name a feature the
+// model has and send both children to later nodes, so every walk from
+// the root ends at a leaf; every threshold and value must be finite.
+func (pt *persistTree) validate(nFeatures int) error {
+	if len(pt.Nodes) == 0 {
+		return errors.New("no nodes")
+	}
+	if len(pt.FeatGain) > nFeatures {
+		return fmt.Errorf("%d feature gains for %d features", len(pt.FeatGain), nFeatures)
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for j, nd := range pt.Nodes {
+		if !finite(nd.Value) {
+			return fmt.Errorf("node %d: value %v", j, nd.Value)
+		}
+		if nd.Feature == -1 {
+			continue // leaf
+		}
+		if nd.Feature < 0 || nd.Feature >= nFeatures {
+			return fmt.Errorf("node %d: feature %d outside [0, %d)", j, nd.Feature, nFeatures)
+		}
+		if !finite(nd.Threshold) {
+			return fmt.Errorf("node %d: threshold %v", j, nd.Threshold)
+		}
+		for _, c := range [2]int32{nd.Left, nd.Right} {
+			if int(c) <= j || int(c) >= len(pt.Nodes) {
+				return fmt.Errorf("node %d: child %d outside (%d, %d)", j, c, j, len(pt.Nodes))
+			}
+		}
+	}
+	return nil
 }

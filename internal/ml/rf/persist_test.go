@@ -2,6 +2,8 @@ package rf
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"testing"
 )
 
@@ -65,5 +67,67 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
+	}
+}
+
+// TestLoadRejectsCorruptTrees checks that Load fails closed on node
+// graphs Save never writes. Two of them used to get through: a child
+// index of 0 sent predict round the same nodes forever, and a feature
+// index past the model's width panicked with index out of range.
+func TestLoadRejectsCorruptTrees(t *testing.T) {
+	ds := synth(200, 34, func(x []float64) float64 { return 3*x[0] - x[1] })
+	f, err := Train(ds, Config{NumTrees: 3, Seed: 35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := f.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	// split returns the index of the first split node of tree 0.
+	split := func(pf *persistForest) int {
+		for j, nd := range pf.Trees[0].Nodes {
+			if nd.Feature >= 0 {
+				return j
+			}
+		}
+		t.Fatal("tree 0 has no split")
+		return 0
+	}
+	cases := []struct {
+		name    string
+		corrupt func(pf *persistForest)
+	}{
+		{"left child 0", func(pf *persistForest) { pf.Trees[0].Nodes[split(pf)].Left = 0 }},
+		{"feature 99", func(pf *persistForest) { pf.Trees[0].Nodes[split(pf)].Feature = 99 }},
+		{"feature -2", func(pf *persistForest) { pf.Trees[0].Nodes[split(pf)].Feature = -2 }},
+		{"right child past the end", func(pf *persistForest) {
+			pf.Trees[0].Nodes[split(pf)].Right = int32(len(pf.Trees[0].Nodes))
+		}},
+		{"NaN threshold", func(pf *persistForest) { pf.Trees[0].Nodes[split(pf)].Threshold = math.NaN() }},
+		{"infinite leaf value", func(pf *persistForest) {
+			n := pf.Trees[0].Nodes
+			n[len(n)-1].Value = math.Inf(1)
+		}},
+		{"empty tree", func(pf *persistForest) { pf.Trees[0].Nodes = nil }},
+		{"extra feature gains", func(pf *persistForest) {
+			pf.Trees[0].FeatGain = append(pf.Trees[0].FeatGain, 1)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var pf persistForest
+			if err := gob.NewDecoder(bytes.NewReader(saved.Bytes())).Decode(&pf); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(&pf)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(pf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(&buf); err == nil {
+				t.Fatal("corrupt model loaded")
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/wanify/wanify/internal/geo"
@@ -61,15 +62,59 @@ func BenchmarkAllocatorChurn(b *testing.B) {
 	b.Run("fromscratch", func(b *testing.B) { bench(b, false) })
 }
 
-// BenchmarkAllocatorSteadyState measures a bare recomputation with no
-// churn (e.g. a fluctuation tick): the same flow set reallocated.
+// BenchmarkAllocatorSteadyState measures a full recomputation with no
+// churn: the same flow set regrouped and water-filled from scratch.
 func BenchmarkAllocatorSteadyState(b *testing.B) {
 	s, _ := benchChurnSim(224)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		s.invalidate()
+		s.invalidateFull()
 		s.ensureAllocated()
+	}
+}
+
+// BenchmarkAllocatorCapRefill measures one allocation after a change
+// that moves only flow caps — the most common refill at paper scale,
+// where slow-start ramp steps, CPU-load changes and fluctuation ticks
+// outnumber flow starts and finishes. 72 probes share the 8-DC testbed
+// with three tc pair limits; each op sets one VM's CPU load (cycling
+// through the VMs and four load levels), which rescales the caps of the
+// flows it sends and receives, then reallocates. BenchmarkAllocatorChurn
+// never takes this path: its flow set changes on every op.
+func BenchmarkAllocatorCapRefill(b *testing.B) {
+	s, _ := benchChurnSim(72)
+	s.SetPairLimit(0, 1, 300)
+	s.SetPairLimit(2, 5, 150)
+	s.SetPairLimit(6, 3, 500)
+	s.ensureAllocated()
+	loads := [...]float64{0.1, 0.4, 0.7, 0.95}
+	full0, reused0 := s.fillCounts()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		s.SetCPULoad(VMID(n%8), loads[(n/8)%len(loads)])
+		s.ensureAllocated()
+	}
+	full, reused := s.fillCounts()
+	b.ReportMetric(float64(reused-reused0)/float64(full-full0+reused-reused0), "reused/fill")
+}
+
+// BenchmarkAllocatorFleetRefill measures a full regroup-and-fill per op
+// on the fleet tiers' many-tiny-groups traffic (fleetBenchSim, 4 flows
+// per group) at Workers=0: the sharded numerator of the fleet_alloc_*
+// guard ratios, without the unsharded baseline's timing noise.
+func BenchmarkAllocatorFleetRefill(b *testing.B) {
+	for _, dcs := range []int{10, 100, 500} {
+		b.Run(fmt.Sprintf("%ddc", dcs), func(b *testing.B) {
+			s, _ := fleetBenchSim(dcs, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				s.invalidateFull()
+				s.ensureAllocated()
+			}
+		})
 	}
 }
 

@@ -181,8 +181,9 @@ func TestAllocationConservation(t *testing.T) {
 }
 
 // TestRepeatedAllocateDeterministic checks that re-running the
-// allocator with unchanged inputs reproduces identical rates — the
-// scratch slabs must not leak state between invocations.
+// allocator from scratch (regrouped, every group through the filling
+// loop) with unchanged inputs reproduces identical rates — the scratch
+// slabs must not leak state between invocations.
 func TestRepeatedAllocateDeterministic(t *testing.T) {
 	churnSim(t, 13, 60, func(s *Sim) {
 		s.ensureAllocated()
@@ -194,7 +195,7 @@ func TestRepeatedAllocateDeterministic(t *testing.T) {
 		for v := range retrans {
 			retrans[v] = s.vms[v].lastRetrans
 		}
-		s.invalidate()
+		s.invalidateFull()
 		s.ensureAllocated()
 		for _, f := range s.flows {
 			if f.rate != first[f.id] {

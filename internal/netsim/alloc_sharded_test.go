@@ -159,13 +159,13 @@ func TestShardedChurnInvariants(t *testing.T) {
 				t.Fatalf("vm %d retrans %v != reference %v", v, got, wantRetrans[v])
 			}
 		}
-		// Repeated allocation with unchanged inputs must reproduce the
-		// same rates (worker scratch slabs must not leak state).
+		// Repeated full allocation with unchanged inputs must reproduce
+		// the same rates (worker scratch slabs must not leak state).
 		first := make(map[FlowID]float64, len(s.flows))
 		for _, f := range s.flows {
 			first[f.id] = f.rate
 		}
-		s.invalidate()
+		s.invalidateFull()
 		s.ensureAllocated()
 		for _, f := range s.flows {
 			if f.rate != first[f.id] {

@@ -5,6 +5,18 @@ import (
 	"slices"
 )
 
+// resKind distinguishes the reference allocator's resource types (for
+// retransmission attribution). The production allocator keeps per-flow
+// caps out of its resource table and needs no kinds.
+type resKind uint8
+
+const (
+	resEgress resKind = iota
+	resIngress
+	resPairLimit
+	resFlowCap
+)
+
 // allocateReference is the from-scratch allocator, preserved as the
 // oracle for the incremental sharded allocator — equivalence tests
 // require bit-identical rates — and as the baseline for

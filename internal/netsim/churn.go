@@ -34,17 +34,26 @@ import (
 // flow start unions its endpoints (and can only merge groups, which
 // union-find handles incrementally), while a finish can split a group,
 // so component assignment is re-derived from the live flow set at the
-// next allocation — an O(flows α(VMs)) sweep, negligible next to the
-// filling it feeds. What persists between allocations is the dirty
-// set: events record the group they touched (via the owning VM's root
-// at the last allocation), and the next allocation refills only groups
-// containing a dirtied or regrouped VM, keeping every other group's
-// rates and retransmission attributions untouched.
+// next allocation that follows a flow start or finish, or a pair limit
+// appearing or clearing — an O(flows α(VMs)) sweep. Any other event
+// (ramp step, fluctuation tick, CPU load, resize, limit value) keeps
+// the partition, its ordinals and its bucketing as they are. What
+// persists between allocations is the dirty set: events record the
+// group they touched (via the owning VM's root at the last
+// allocation), and the next allocation refills only groups containing
+// a dirtied or regrouped VM, keeping every other group's rates and
+// retransmission attributions untouched. Each group slot also holds
+// the group's fill certificate (alloc.go, layer 6); re-deriving the
+// partition drops them all.
 
 // groupIndex is the Sim's bottleneck-group state. All slabs are epoch
 // stamped so per-allocation resets cost O(touched), not O(VMs).
 type groupIndex struct {
-	// Union-find over VM ids, rebuilt each allocation.
+	// regroup is set when the flow set or the set of rate-limited pairs
+	// changed: the next allocation re-derives the partition.
+	regroup bool
+
+	// Union-find over VM ids, rebuilt when regroup is set.
 	parent  []VMID
 	ufEpoch []uint32
 	epoch   uint32
@@ -81,6 +90,10 @@ type groupIndex struct {
 	bucketed []*Flow // flows grouped by ordinal, id order within each
 	needFill []bool  // per ordinal: group must be refilled
 	dirtyG   []int32 // ordinals needing refill
+
+	// fills[ord] is group ord's structure and fill certificate (see
+	// groupFill), written only by the worker refilling that group.
+	fills []groupFill
 }
 
 func (g *groupIndex) grow(nVMs int) {
@@ -167,6 +180,139 @@ func (g *groupIndex) linkLimitedPairs(s *Sim, order []*Flow) {
 	g.pairTouched = g.pairTouched[:0]
 }
 
+// rebuild re-derives the partition of the live flow set (order, in id
+// order) into bottleneck groups: union-find, group ordinals by first
+// appearance, and bucketing. It decides which groups need a refill
+// from the dirt recorded against the previous partition, then stamps
+// the new one, and drops every group's structure and fill certificate.
+func (g *groupIndex) rebuild(s *Sim, order []*Flow) {
+	nf := len(order)
+	g.regroup = false
+	g.beginEpoch(len(s.vms))
+	for _, f := range order {
+		g.union(f.src, f.dst)
+	}
+	g.linkLimitedPairs(s, order)
+
+	// Assign group ordinals by first appearance in id order and count
+	// members.
+	if cap(g.flowOrd) < nf {
+		g.flowOrd = make([]int32, nf)
+	}
+	g.flowOrd = g.flowOrd[:nf]
+	g.roots = g.roots[:0]
+	g.counts = g.counts[:0]
+	for fi, f := range order {
+		r := g.find(f.src)
+		var ord int32
+		if g.ordEpoch[r] != g.epoch {
+			g.ordEpoch[r] = g.epoch
+			ord = int32(len(g.roots))
+			g.ordOf[r] = ord
+			g.roots = append(g.roots, r)
+			g.counts = append(g.counts, 0)
+		} else {
+			ord = g.ordOf[r]
+		}
+		g.flowOrd[fi] = ord
+		g.counts[ord]++
+	}
+	ng := len(g.roots)
+
+	// Decide which groups to refill: those touched by a recorded event
+	// (via their last-allocation root) or containing a VM that was not
+	// grouped last time (its flows are new).
+	if cap(g.needFill) < ng {
+		g.needFill = make([]bool, ng)
+	}
+	g.needFill = g.needFill[:ng]
+	for i := range g.needFill {
+		g.needFill[i] = g.dirtyAll
+	}
+	if !g.dirtyAll {
+		for _, r := range g.dirtyRoots {
+			g.rootDirty[r] = true
+		}
+		for fi, f := range order {
+			ord := g.flowOrd[fi]
+			if g.needFill[ord] {
+				continue
+			}
+			if g.vmDirty(f.src) || g.vmDirty(f.dst) {
+				g.needFill[ord] = true
+			}
+		}
+		for _, r := range g.dirtyRoots {
+			g.rootDirty[r] = false
+		}
+	}
+
+	// Bucket flows by group, preserving id order within each group.
+	if cap(g.offsets) < ng+1 {
+		g.offsets = make([]int32, ng+1)
+		g.cursor = make([]int32, ng+1)
+	}
+	g.offsets = g.offsets[:ng+1]
+	g.cursor = g.cursor[:ng]
+	off := int32(0)
+	for ord := 0; ord < ng; ord++ {
+		g.offsets[ord] = off
+		g.cursor[ord] = off
+		off += g.counts[ord]
+	}
+	g.offsets[ng] = off
+	if cap(g.bucketed) < nf {
+		g.bucketed = make([]*Flow, nf)
+	}
+	g.bucketed = g.bucketed[:nf]
+	for fi, f := range order {
+		ord := g.flowOrd[fi]
+		g.bucketed[g.cursor[ord]] = f
+		g.cursor[ord]++
+	}
+
+	// Stamp the new grouping for scoped dirt until the next rebuild.
+	g.rootEpoch++
+	for _, f := range order {
+		for _, v := range [2]VMID{f.src, f.dst} {
+			if g.vmRootEpoch[v] != g.rootEpoch {
+				g.vmRootEpoch[v] = g.rootEpoch
+				g.vmRoot[v] = g.find(v)
+			}
+		}
+	}
+
+	for len(g.fills) < ng {
+		g.fills = append(g.fills, groupFill{})
+	}
+	for i := range g.fills {
+		g.fills[i].nFills, g.fills[i].built, g.fills[i].certified = 0, false, false
+	}
+}
+
+// markDirtyGroups decides which groups of the kept partition need a
+// refill. Every grouped VM is stamped with its current root, so each
+// recorded root names its group directly.
+func (g *groupIndex) markDirtyGroups() {
+	for i := range g.needFill {
+		g.needFill[i] = g.dirtyAll
+	}
+	if !g.dirtyAll {
+		for _, r := range g.dirtyRoots {
+			g.needFill[g.ordOf[r]] = true
+		}
+	}
+}
+
+// vmDirty reports whether v's group must be refilled: v was not part
+// of the last partition, or its then-group was dirtied.
+func (g *groupIndex) vmDirty(v VMID) bool {
+	if g.vmRootEpoch[v] != g.rootEpoch {
+		return true
+	}
+	return g.rootDirty[g.vmRoot[v]]
+}
+
 // dirtyVM records that an event touched VM v's group: the group v
 // belonged to at the last allocation is refilled next time. A VM that
 // was not grouped then (its flows are all new) needs no record — the
@@ -203,6 +349,15 @@ func (s *Sim) dirtyPair(k int) {
 func (s *Sim) invalidate() {
 	s.allocDirty = true
 	s.groups.dirtyAll = true
+}
+
+// invalidateFull marks the whole rate allocation stale and discards
+// everything the next allocation could reuse: the partition is
+// re-derived and every group runs the filling loop. Benchmarks and
+// tests use it to time or check a full refill.
+func (s *Sim) invalidateFull() {
+	s.invalidate()
+	s.groups.regroup = true
 }
 
 // AllocGroups reports the shape of the most recent allocation: how

@@ -12,7 +12,8 @@ import (
 // incremental path's scoped-invalidation win at paper scale, these
 // timers measure what sharding itself buys when the flow set
 // decomposes into many independent bottleneck groups: the cost of a
-// full refill (every group dirty) under the production allocator
+// full refill (regrouped, every group through the filling loop) under
+// the production allocator
 // against the pre-sharding formulation — one global filling loop over
 // all flows, which answers the same allocation (to float rounding;
 // independent components never constrain each other's theta) but pays
@@ -30,7 +31,7 @@ type FleetAllocStats struct {
 	// flow set into).
 	DCs, VMsPerDC, Flows, Groups int
 	// NsPerFlow is the production sharded allocator's cost per flow
-	// for a full refill (all groups dirty), at the FleetCluster
+	// for a full refill (regrouped, no fill reused), at the FleetCluster
 	// default worker count.
 	NsPerFlow float64
 	// SequentialNsPerFlow is the same full refill at Workers=0. The
@@ -105,7 +106,7 @@ func FleetAllocNsPerFlow(dcs, rounds int) FleetAllocStats {
 		out.Flows = nFlows
 		start := time.Now()
 		for r := 0; r < rounds; r++ {
-			s.invalidate()
+			s.invalidateFull()
 			s.ensureAllocated()
 		}
 		out.Groups, _ = s.AllocGroups()

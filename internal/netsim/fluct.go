@@ -22,6 +22,15 @@ type ouProcess struct {
 	spikeMeanDur float64 // seconds
 	spikeUntil   float64 // sim time the current episode ends
 	spikeDepth   float64 // multiplicative factor during the episode
+
+	// f is the factor exp(x)·spikeDepth as of the last refresh; stale
+	// reports that x or spikeDepth moved since. The simulator refreshes
+	// a link's factor when it advances the link while flows cross it,
+	// and when a flow starts on it, so every link carrying a flow has a
+	// fresh factor and the allocator (whose groups may fill
+	// concurrently) only ever reads it.
+	f     float64
+	stale bool
 }
 
 func newOUProcess(rng *simrand.Source, theta, sigma, spikeProb, spikeMeanDur float64) *ouProcess {
@@ -37,6 +46,8 @@ func newOUProcess(rng *simrand.Source, theta, sigma, spikeProb, spikeMeanDur flo
 	// biased toward factor == 1.
 	sd := sigma / math.Sqrt(2*theta)
 	p.x = rng.Norm(0, sd)
+	p.stale = true
+	p.refresh()
 	return p
 }
 
@@ -61,9 +72,19 @@ func (p *ouProcess) advance(now, dt float64) {
 			p.spikeUntil = now + p.rng.Exp(p.spikeMeanDur)
 		}
 	}
+	p.stale = true
 }
 
-// factor returns the current multiplicative bandwidth factor.
+// refresh brings the memoised factor up to date.
+func (p *ouProcess) refresh() {
+	if p.stale {
+		p.f = math.Exp(p.x) * p.spikeDepth
+		p.stale = false
+	}
+}
+
+// factor returns the multiplicative bandwidth factor as of the last
+// refresh, which is current on every link that carries a flow.
 func (p *ouProcess) factor() float64 {
-	return math.Exp(p.x) * p.spikeDepth
+	return p.f
 }

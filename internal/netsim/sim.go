@@ -78,6 +78,9 @@ type Sim struct {
 	lastGroups   int
 	lastRefilled int
 
+	// afterAlloc, when set (by tests), runs after every allocation.
+	afterAlloc func()
+
 	rng *simrand.Source
 }
 
@@ -99,6 +102,7 @@ func NewSim(cfg Config) *Sim {
 		rng:        simrand.Derive(cfg.Seed, "netsim"),
 	}
 	s.groups.dirtyAll = true
+	s.groups.regroup = true
 	n := len(cfg.Regions)
 	s.vmsOfDC = make([][]VMID, n)
 	for dc, specs := range cfg.VMs {
@@ -164,9 +168,12 @@ func (s *Sim) scheduleFluct() {
 	var step func(now float64)
 	step = func(now float64) {
 		for i := range s.fluct {
-			for j := range s.fluct[i] {
-				if s.fluct[i][j] != nil {
-					s.fluct[i][j].advance(now, s.fluctEvery)
+			for j, p := range s.fluct[i] {
+				if p != nil {
+					p.advance(now, s.fluctEvery)
+					if len(s.pairFlows[s.pairKey(i, j)]) > 0 {
+						p.refresh()
+					}
 				}
 			}
 		}
@@ -271,6 +278,7 @@ func (s *Sim) SetPairLimit(srcDC, dstDC int, mbps float64) {
 	k := s.pairKey(srcDC, dstDC)
 	if math.IsNaN(s.pairLimits[k]) {
 		s.numLimits++
+		s.groups.regroup = true
 	}
 	s.pairLimits[k] = mbps
 	if len(s.pairFlows[k]) > 0 {
@@ -291,6 +299,7 @@ func (s *Sim) ClearPairLimit(srcDC, dstDC int) {
 	}
 	s.pairLimits[k] = math.NaN()
 	s.numLimits--
+	s.groups.regroup = true
 }
 
 // ClearAllPairLimits removes every pair rate limit.
@@ -307,6 +316,7 @@ func (s *Sim) ClearAllPairLimits() {
 		}
 	}
 	s.numLimits = 0
+	s.groups.regroup = true
 }
 
 // pairLimitAt returns the rate limit for a DC pair, or NaN if none.
@@ -422,10 +432,14 @@ func (s *Sim) addFlow(src, dst VMID, conns int, bits float64, onDone func()) *Fl
 	f.idx = len(s.flows)
 	s.flows = append(s.flows, f)
 	s.flowSetChanged = true
+	s.groups.regroup = true
 	s.vmConns[src] += conns
 	s.vmConns[dst] += conns
 	k := s.pairKey(srcDC, dstDC)
 	s.pairFlows[k] = append(s.pairFlows[k], f) // ids ascend: start order kept
+	if p := s.fluct[srcDC][dstDC]; p != nil {
+		p.refresh() // idle links advance without refreshing their factor
+	}
 	if srcDC != dstDC {
 		s.interDCFlow++
 	}
@@ -476,6 +490,7 @@ func (s *Sim) finishFlow(f *Flow) {
 	s.flows[last] = nil
 	s.flows = s.flows[:last]
 	s.flowSetChanged = true
+	s.groups.regroup = true
 
 	s.vmConns[f.src] -= f.conns
 	s.vmConns[f.dst] -= f.conns
