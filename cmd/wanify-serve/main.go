@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"time"
 
 	wanify "github.com/wanify/wanify"
 	"github.com/wanify/wanify/internal/agent"
@@ -156,7 +157,15 @@ func main() {
 	driver.Speed = *speed
 	go driver.Run()
 
-	server := &http.Server{Addr: *addr, Handler: serve.NewServer(plane, driver, metrics)}
+	// Fixed timeouts bound how long a slow or idle client can hold a
+	// connection; every API call is a small JSON exchange.
+	server := &http.Server{
+		Addr:              *addr,
+		Handler:           serve.NewServer(plane, driver, metrics),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       120 * time.Second,
+	}
 	go func() {
 		log.Printf("wanify-serve: listening on %s (%d DCs, %d slots, clock %gx)",
 			*addr, *dcs, *maxRunning, *speed)

@@ -320,7 +320,7 @@ func main() {
 			defer fw.StopAgents()
 			copy(policies, fw.JobPolicies())
 			if *rebal {
-				fw.StartJobSetController()
+				fw.StartController(wanify.OptimizeOptions{SkewWeights: ws})
 			}
 		} else {
 			fw.DeployAgents(pred, plan)

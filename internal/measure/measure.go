@@ -89,15 +89,11 @@ func StaticIndependent(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, Re
 	n := sim.NumDCs()
 	out := bwmatrix.New(n)
 	var rep Report
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			mbps, r := probePairs(sim, [][2]int{{i, j}}, opts)
-			out[i][j] = noisy(mbps[[2]int{i, j}], opts)
-			rep = rep.Add(r)
-		}
+	for _, p := range dcPairs(n) {
+		ps := beginProbes(sim, opts, [][2]int{p}, sim.VMsOfDC)
+		mbps, r := ps.runWindow()
+		out[p[0]][p[1]] = noisy(mbps[p], opts)
+		rep = rep.Add(r)
 	}
 	return out, rep
 }
@@ -106,23 +102,9 @@ func StaticIndependent(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, Re
 // capturing runtime contention. This is the ground truth the prediction
 // model learns to reproduce, and the expensive approach Table 2 prices.
 func StaticSimultaneous(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, Report) {
-	n := sim.NumDCs()
-	pairs := make([][2]int, 0, n*(n-1))
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				pairs = append(pairs, [2]int{i, j})
-			}
-		}
-	}
-	mbps, rep := probePairs(sim, pairs, opts)
-	out := bwmatrix.New(n)
-	// Iterate the ordered pair list (not the map) so measurement noise
-	// attaches to pairs deterministically.
-	for _, p := range pairs {
-		out[p[0]][p[1]] = noisy(mbps[p], opts)
-	}
-	return out, rep
+	ps := BeginSnapshot(sim, opts)
+	mbps, rep := ps.runWindow()
+	return ps.matrix(sim.NumDCs(), mbps), rep
 }
 
 // Snapshot takes a 1-second (or opts.DurationS) all-pairs sample — the
@@ -170,28 +152,114 @@ type pendingProbe struct {
 // match Snapshot exactly: on an otherwise idle cluster,
 // BeginSnapshot + RunFor + Collect is byte-identical to Snapshot.
 func BeginSnapshot(sim substrate.Cluster, opts Options) *PendingSnapshot {
+	return beginProbes(sim, opts, dcPairs(sim.NumDCs()), sim.VMsOfDC)
+}
+
+// dcPairs lists the ordered DC pairs of an n-DC cluster, row-major.
+func dcPairs(n int) [][2]int {
+	pairs := make([][2]int, 0, n*(n-1))
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+	}
+	return pairs
+}
+
+// beginProbes opens one probe window — the primitive behind every
+// collector in this package. For each key of pairs, in order, it
+// starts one probe from every VM endpoints(key[0]) lists to every VM
+// endpoints(key[1]) lists: DC pairs with the DCs' VMs (so multi-VM DCs
+// report their combined bandwidth — the paper's "association",
+// §3.3.3), or VM pairs with the VMs themselves.
+func beginProbes(sim substrate.Cluster, opts Options, pairs [][2]int, endpoints func(int) []substrate.VMID) *PendingSnapshot {
 	if opts.DurationS <= 0 {
 		panic("measure: non-positive probe duration")
 	}
 	conns := maxIntOne(opts.Conns)
-	n := sim.NumDCs()
-	ps := &PendingSnapshot{sim: sim, opts: opts, begun: sim.Now()}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				ps.pairs = append(ps.pairs, [2]int{i, j})
-			}
-		}
-	}
-	for _, p := range ps.pairs {
-		for _, src := range sim.VMsOfDC(p[0]) {
-			for _, dst := range sim.VMsOfDC(p[1]) {
+	ps := &PendingSnapshot{sim: sim, opts: opts, pairs: pairs, begun: sim.Now()}
+	for _, p := range pairs {
+		for _, src := range endpoints(p[0]) {
+			for _, dst := range endpoints(p[1]) {
 				f := sim.StartProbe(src, dst, conns)
 				ps.probes = append(ps.probes, pendingProbe{pair: p, flow: f, start: f.TransferredBytes()})
 			}
 		}
 	}
 	return ps
+}
+
+// runWindow drives the clock through the configured probe window and
+// reduces it over exactly that duration — the synchronous collectors'
+// driver.
+func (ps *PendingSnapshot) runWindow() (map[[2]int]float64, Report) {
+	ps.sim.RunFor(ps.opts.DurationS)
+	return ps.reduce(ps.opts.DurationS)
+}
+
+// window returns the integration window of a collection made now:
+// the elapsed probe time, or the configured duration verbatim when the
+// two agree within clock rounding. It panics when collected early.
+func (ps *PendingSnapshot) window() float64 {
+	// Clock subtraction can land an ulp either side of the configured
+	// duration; treat anything within tol as on-time and use the
+	// configured duration verbatim so the division is bit-identical to
+	// the synchronous path.
+	const tol = 1e-9
+	elapsed := ps.sim.Now() - ps.begun
+	if elapsed < ps.opts.DurationS-tol {
+		panic(fmt.Sprintf("measure: snapshot collected after %.2fs of a %.2fs probe window", elapsed, ps.opts.DurationS))
+	}
+	if math.Abs(elapsed-ps.opts.DurationS) <= tol {
+		return ps.opts.DurationS
+	}
+	return elapsed
+}
+
+// reduce closes the window: it tears the probes down and integrates
+// each survivor's bytes over window into a per-key Mbps sum, billing
+// the probe traffic. A
+// probe a fault terminated mid-window contributes nothing: its frozen
+// byte count integrated over the full window would fabricate a
+// near-zero reading (and it needs no Stop — the fault tore it down).
+func (ps *PendingSnapshot) reduce(window float64) (map[[2]int]float64, Report) {
+	byPair := make(map[[2]int]float64, len(ps.pairs))
+	rep := Report{ElapsedS: window, VMSeconds: window * float64(ps.sim.NumVMs())}
+	for _, pr := range ps.probes {
+		if pr.flow.Failed() {
+			rep.FailedProbes++
+			continue
+		}
+		bytes := pr.flow.TransferredBytes() - pr.start
+		rep.BytesTransferred += bytes
+		byPair[pr.pair] += bytes * 8 / 1e6 / window // Mbps
+		pr.flow.Stop()
+	}
+	ps.probes = nil
+	ps.finished = true
+	return byPair, rep
+}
+
+// matrix lays per-key rates into a dim×dim matrix with measurement
+// noise, iterating the ordered key list (not the map) so noise attaches
+// to keys deterministically.
+func (ps *PendingSnapshot) matrix(dim int, mbps map[[2]int]float64) bwmatrix.Matrix {
+	out := bwmatrix.New(dim)
+	for _, p := range ps.pairs {
+		out[p[0]][p[1]] = noisy(mbps[p], ps.opts)
+	}
+	return out
+}
+
+// stats reads the post-probe host metrics of every VM.
+func (ps *PendingSnapshot) stats() []substrate.VMStats {
+	stats := make([]substrate.VMStats, ps.sim.NumVMs())
+	for v := range stats {
+		stats[v] = ps.sim.VMStats(substrate.VMID(v))
+	}
+	return stats
 }
 
 // DurationS returns the configured probe duration.
@@ -244,56 +312,8 @@ func (ps *PendingSnapshot) Collect() (bwmatrix.Matrix, []substrate.VMStats, Repo
 	if ps.hardened {
 		panic("measure: hardened snapshot must be collected with CollectPartial")
 	}
-	// Clock subtraction can land an ulp either side of the configured
-	// duration; treat anything within tol as on-time and use the
-	// configured duration verbatim so the division is bit-identical to
-	// the synchronous path.
-	const tol = 1e-9
-	elapsed := ps.sim.Now() - ps.begun
-	if elapsed < ps.opts.DurationS-tol {
-		panic(fmt.Sprintf("measure: snapshot collected after %.2fs of a %.2fs probe window", elapsed, ps.opts.DurationS))
-	}
-	window := elapsed
-	if math.Abs(elapsed-ps.opts.DurationS) <= tol {
-		window = ps.opts.DurationS
-	}
-	byPair := make(map[[2]int]float64, len(ps.pairs))
-	totalBytes := 0.0
-	failed := 0
-	for _, pr := range ps.probes {
-		if pr.flow.Failed() {
-			// A fault terminated this probe mid-window: its frozen byte
-			// count integrated over the full window would fabricate a
-			// near-zero reading, so it contributes nothing to the pair
-			// average (and needs no Stop — the fault tore it down).
-			failed++
-			continue
-		}
-		bytes := pr.flow.TransferredBytes() - pr.start
-		totalBytes += bytes
-		byPair[pr.pair] += bytes * 8 / 1e6 / window // Mbps
-		pr.flow.Stop()
-	}
-	ps.probes = nil
-	ps.finished = true
-	n := ps.sim.NumDCs()
-	out := bwmatrix.New(n)
-	// Iterate the ordered pair list (not the map) so measurement noise
-	// attaches to pairs deterministically, as in StaticSimultaneous.
-	for _, p := range ps.pairs {
-		out[p[0]][p[1]] = noisy(byPair[p], ps.opts)
-	}
-	stats := make([]substrate.VMStats, ps.sim.NumVMs())
-	for v := 0; v < ps.sim.NumVMs(); v++ {
-		stats[v] = ps.sim.VMStats(substrate.VMID(v))
-	}
-	rep := Report{
-		ElapsedS:         window,
-		BytesTransferred: totalBytes,
-		VMSeconds:        window * float64(ps.sim.NumVMs()),
-		FailedProbes:     failed,
-	}
-	return out, stats, rep
+	mbps, rep := ps.reduce(ps.window())
+	return ps.matrix(ps.sim.NumDCs(), mbps), ps.stats(), rep
 }
 
 // SnapshotByVM takes a short all-pairs sample at VM granularity: one
@@ -302,50 +322,18 @@ func (ps *PendingSnapshot) Collect() (bwmatrix.Matrix, []substrate.VMStats, Repo
 // summed into a DC-level matrix rather than predicting on out-of-range
 // aggregate bandwidths. The returned matrix is NumVMs×NumVMs.
 func SnapshotByVM(sim substrate.Cluster, opts Options) (bwmatrix.Matrix, []substrate.VMStats, Report) {
-	if opts.DurationS <= 0 {
-		panic("measure: non-positive probe duration")
-	}
 	nv := sim.NumVMs()
-	type probe struct {
-		src, dst int
-		flow     substrate.Flow
-		start    float64
-	}
-	var probes []probe
+	var pairs [][2]int
 	for s := 0; s < nv; s++ {
 		for d := 0; d < nv; d++ {
-			if s == d || sim.DCOf(substrate.VMID(s)) == sim.DCOf(substrate.VMID(d)) {
-				continue
+			if s != d && sim.DCOf(substrate.VMID(s)) != sim.DCOf(substrate.VMID(d)) {
+				pairs = append(pairs, [2]int{s, d})
 			}
-			f := sim.StartProbe(substrate.VMID(s), substrate.VMID(d), maxIntOne(opts.Conns))
-			probes = append(probes, probe{src: s, dst: d, flow: f, start: f.TransferredBytes()})
 		}
 	}
-	sim.RunFor(opts.DurationS)
-	out := bwmatrix.New(nv)
-	totalBytes := 0.0
-	failed := 0
-	for _, pr := range probes {
-		if pr.flow.Failed() {
-			failed++
-			continue // see Collect: a fault-frozen probe poisons the average
-		}
-		bytes := pr.flow.TransferredBytes() - pr.start
-		totalBytes += bytes
-		out[pr.src][pr.dst] = noisy(bytes*8/1e6/opts.DurationS, opts)
-		pr.flow.Stop()
-	}
-	stats := make([]substrate.VMStats, nv)
-	for v := 0; v < nv; v++ {
-		stats[v] = sim.VMStats(substrate.VMID(v))
-	}
-	rep := Report{
-		ElapsedS:         opts.DurationS,
-		BytesTransferred: totalBytes,
-		VMSeconds:        opts.DurationS * float64(nv),
-		FailedProbes:     failed,
-	}
-	return out, stats, rep
+	ps := beginProbes(sim, opts, pairs, func(vm int) []substrate.VMID { return []substrate.VMID{substrate.VMID(vm)} })
+	mbps, rep := ps.runWindow()
+	return ps.matrix(nv, mbps), ps.stats(), rep
 }
 
 func maxIntOne(c int) int {
@@ -353,55 +341,6 @@ func maxIntOne(c int) int {
 		return 1
 	}
 	return c
-}
-
-// probePairs starts one probe per ordered DC pair (between all VM pairs
-// of the two DCs, so multi-VM DCs report their combined bandwidth — the
-// paper's "association", §3.3.3), runs for the configured duration, and
-// returns byte-integrated average rates per pair.
-func probePairs(sim substrate.Cluster, pairs [][2]int, opts Options) (map[[2]int]float64, Report) {
-	if opts.DurationS <= 0 {
-		panic("measure: non-positive probe duration")
-	}
-	conns := opts.Conns
-	if conns < 1 {
-		conns = 1
-	}
-	type probe struct {
-		pair  [2]int
-		flow  substrate.Flow
-		start float64
-	}
-	var probes []probe
-	for _, p := range pairs {
-		for _, src := range sim.VMsOfDC(p[0]) {
-			for _, dst := range sim.VMsOfDC(p[1]) {
-				f := sim.StartProbe(src, dst, conns)
-				probes = append(probes, probe{pair: p, flow: f, start: f.TransferredBytes()})
-			}
-		}
-	}
-	sim.RunFor(opts.DurationS)
-	out := make(map[[2]int]float64, len(pairs))
-	totalBytes := 0.0
-	failed := 0
-	for _, pr := range probes {
-		if pr.flow.Failed() {
-			failed++
-			continue // see Collect: a fault-frozen probe poisons the average
-		}
-		bytes := pr.flow.TransferredBytes() - pr.start
-		totalBytes += bytes
-		out[pr.pair] += bytes * 8 / 1e6 / opts.DurationS // Mbps
-		pr.flow.Stop()
-	}
-	rep := Report{
-		ElapsedS:         opts.DurationS,
-		BytesTransferred: totalBytes,
-		VMSeconds:        opts.DurationS * float64(sim.NumVMs()),
-		FailedProbes:     failed,
-	}
-	return out, rep
 }
 
 func noisy(v float64, opts Options) float64 {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 )
@@ -21,7 +22,12 @@ import (
 //
 // Admission rejections map onto HTTP status codes: a full queue is 429
 // Too Many Requests, a tenant over quota is 429, an unknown id is 404,
-// an uncancelable job is 409 Conflict, a malformed spec is 400.
+// an uncancelable job is 409 Conflict, a malformed spec is 400, and a
+// spec body over maxSpecBytes is 413 Content Too Large.
+
+// maxSpecBytes caps a submitted JobSpec body. A spec is a few hundred
+// bytes; the cap bounds what one request can make the decoder buffer.
+const maxSpecBytes = 1 << 20
 
 // Server is the HTTP face of one Plane/Driver pair.
 type Server struct {
@@ -79,7 +85,12 @@ func errCode(err error) int {
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, apiError{Error: fmt.Sprintf("job spec exceeds %d bytes", maxSpecBytes)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad job spec: " + err.Error()})
 		return
 	}

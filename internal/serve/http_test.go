@@ -156,3 +156,32 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitRejectsOversizeBody checks the submit body cap: a spec
+// whose body runs past maxSpecBytes is answered 413 before anything
+// reaches the plane.
+func TestSubmitRejectsOversizeBody(t *testing.T) {
+	p, sink := newTestPlane(t, 31, nil)
+	d := NewDriver(p)
+	go d.Run()
+	defer d.Close()
+	srv := NewServer(p, d, sink)
+
+	var before PlaneStats
+	d.Do(func() { before = p.Stats() })
+	body := `{"workload":"terasort","input_gb":20,"tenant":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize spec: code=%d body=%s", rec.Code, rec.Body.String())
+	}
+	var apiErr apiError
+	if err := json.NewDecoder(rec.Body).Decode(&apiErr); err != nil || apiErr.Error == "" {
+		t.Fatalf("413 carried no error envelope: %v", err)
+	}
+	var after PlaneStats
+	d.Do(func() { after = p.Stats() })
+	if after != before {
+		t.Fatalf("oversize spec changed the plane: %+v -> %+v", before, after)
+	}
+}

@@ -77,11 +77,12 @@ type jobState struct {
 }
 
 // JobSet interleaves N jobs' stages over one engine's shared substrate
-// clock — the multi-tenant execution layer. Where RunJob owns the
-// clock (AwaitFlows/RunFor between synchronous phases), a JobSet turns
-// each job into an event-driven state machine: stage transfers complete
-// through flow callbacks, compute phases through substrate timers, and
-// the set advances the clock until every machine reaches its end. The
+// clock — the multi-tenant execution layer. Each job is a per-stage
+// state machine; where RunJob's synchronous driver (runSync) steps one
+// machine while owning the clock (AwaitFlows/RunFor between phases),
+// Run is event-driven: stage transfers complete through flow
+// callbacks, compute phases through substrate timers, and the set
+// advances the clock until every machine reaches its end. The
 // jobs' transfers therefore genuinely contend — flows of different
 // jobs share DC-pair capacity inside the same allocator, and their
 // compute loads compose through the engine's load ledger (each job
@@ -361,12 +362,10 @@ func (s *JobSet) transferDone(js *jobState, computeRates []float64) func() {
 // with nothing to move it proceeds straight to compute.
 func (s *JobSet) startStage(js *jobState, computeRates []float64, now float64) {
 	e := s.eng
-	n := e.sim.NumDCs()
 	if js.stage == len(js.run.Job.Stages) {
 		s.finishJob(js, now)
 		return
 	}
-	stage := js.run.Job.Stages[js.stage]
 	js.failedRecs, js.recovering, js.attempts = nil, false, 0
 	js.stLost, js.stRecovered, js.stRecomputeS, js.stWaves = 0, 0, 0, 0
 	var alive []bool
@@ -378,11 +377,47 @@ func (s *JobSet) startStage(js *jobState, computeRates []float64, now float64) {
 		}
 		s.repairLayout(js, alive, computeRates)
 	}
+	recs, err := s.placeStage(js, alive, now, s.transferDone(js, computeRates))
+	if err != nil {
+		s.abort(err)
+		return
+	}
+	if len(js.flows) == 0 {
+		s.finishTransfers(js, computeRates, now)
+		return
+	}
+
+	// Watchdog: a transfer phase that outlives MaxStageTransferS fails
+	// the set, exactly as AwaitFlows does for the synchronous driver.
+	s.extendDeadline(now + e.MaxStageTransferS)
+	stageIdx := js.stage
+	stage := js.run.Job.Stages[stageIdx]
+	e.sim.After(e.MaxStageTransferS, func(float64) {
+		if s.err != nil || js.phase != phaseTransfer || js.stage != stageIdx {
+			return
+		}
+		s.abort(fmt.Errorf("spark: job %q stage %q: transfers not drained after %.1fs of simulated time",
+			js.run.Job.Name, stage.Name, e.MaxStageTransferS))
+	})
+	// Arm failure handlers last: a flow born failed (endpoint already
+	// dead) fires its handler synchronously from inside armRecs, which
+	// needs the counters and watchdog above in place.
+	s.armRecs(js, recs, computeRates)
+}
+
+// placeStage places the job's current stage (masked to the alive DCs
+// when alive is non-nil), launches its WAN transfers and, when any flow
+// started, holds the transfer-phase CPU load. each runs after every
+// flow completion (nil for the synchronous driver, which awaits the
+// flows instead). It returns the flows' recovery records.
+func (s *JobSet) placeStage(js *jobState, alive []bool, now float64, each func()) ([]*flowRec, error) {
+	e := s.eng
+	n := e.sim.NumDCs()
+	stage := js.run.Job.Stages[js.stage]
 	p := js.run.Sched.Place(js.stage, stage, js.layout).Normalize()
 	if len(p) != n {
-		s.abort(fmt.Errorf("spark: scheduler %q returned %d fractions for %d DCs",
-			js.run.Sched.Name(), len(p), n))
-		return
+		return nil, fmt.Errorf("spark: scheduler %q returned %d fractions for %d DCs",
+			js.run.Sched.Name(), len(p), n)
 	}
 	if alive != nil {
 		p = maskPlacement(p, alive)
@@ -398,43 +433,48 @@ func (s *JobSet) startStage(js *jobState, computeRates []float64, now float64) {
 	js.transferStart = now
 	js.phase = phaseTransfer
 
-	flows, pairs, wanBytes, recs := e.launchTransfers(transfer, js.run.Policy, s.transferDone(js, computeRates))
+	flows, pairs, wanBytes, recs := e.launchTransfers(transfer, js.run.Policy, each)
 	js.flows = flows
 	js.pairs = pairs
 	js.flowsLeft = len(flows)
 	js.res.WANBytes += wanBytes
-
-	if len(flows) == 0 {
-		s.finishTransfers(js, computeRates, now)
-		return
+	if len(flows) > 0 {
+		js.loadDeltas = e.ledger().uniform(js.loadDeltas, e.transferLoad())
+		s.holdLoad(js)
 	}
-	js.loadDeltas = e.ledger().uniform(js.loadDeltas, e.transferLoad())
-	s.holdLoad(js)
-
-	// Watchdog: a transfer phase that outlives MaxStageTransferS fails
-	// the set, exactly as AwaitFlows does for a single job.
-	s.extendDeadline(now + e.MaxStageTransferS)
-	stageIdx := js.stage
-	e.sim.After(e.MaxStageTransferS, func(float64) {
-		if s.err != nil || js.phase != phaseTransfer || js.stage != stageIdx {
-			return
-		}
-		s.abort(fmt.Errorf("spark: job %q stage %q: transfers not drained after %.1fs of simulated time",
-			js.run.Job.Name, stage.Name, e.MaxStageTransferS))
-	})
-	// Arm failure handlers last: a flow born failed (endpoint already
-	// dead) fires its handler synchronously from inside armRecs, which
-	// needs the counters and watchdog above in place.
-	s.armRecs(js, recs, computeRates)
+	return recs, nil
 }
 
 // finishTransfers closes a stage's transfer phase (at the exact instant
 // the last flow drained) and begins its compute phase.
 func (s *JobSet) finishTransfers(js *jobState, computeRates []float64, now float64) {
 	e := s.eng
+	s.releaseLoad(js)
+	rep := s.closeTransfers(js, computeRates, now)
+	if rep.ComputeS <= 0 {
+		s.endStage(js, rep, computeRates, now)
+		return
+	}
+	js.phase = phaseCompute
+	js.loadDeltas = e.computeLoadDeltas(js.loadDeltas, js.layout)
+	s.holdLoad(js)
+	s.extendDeadline(now + rep.ComputeS)
+	e.sim.After(rep.ComputeS, func(end float64) {
+		if s.err != nil || js.phase != phaseCompute {
+			return
+		}
+		s.releaseLoad(js)
+		s.endStage(js, rep, computeRates, end)
+	})
+}
+
+// closeTransfers records a drained transfer phase: it builds the
+// stage's report (ComputeS included), folds it into the job's totals
+// and redistributes the layout per the stage's placement.
+func (s *JobSet) closeTransfers(js *jobState, computeRates []float64, now float64) StageReport {
+	e := s.eng
 	n := e.sim.NumDCs()
 	stage := js.run.Job.Stages[js.stage]
-	s.releaseLoad(js)
 	rep := StageReport{
 		Name:       stage.Name,
 		Kind:       stage.Kind,
@@ -475,6 +515,8 @@ func (s *JobSet) finishTransfers(js *jobState, computeRates []float64, now float
 
 	computeS := computeSeconds(stage, js.layout, computeRates)
 	if e.OverlapFetchCompute {
+		// The transfer window already processed min(transfer, compute)
+		// seconds of work; only the residue remains.
 		computeS -= rep.TransferS
 		if computeS < 0 {
 			computeS = 0
@@ -483,34 +525,24 @@ func (s *JobSet) finishTransfers(js *jobState, computeRates []float64, now float
 	// Re-executed partitions (recovery with no surviving replica) are
 	// recomputed work: it serializes with the stage's own compute and is
 	// not hidden by fetch/compute overlap.
-	computeS += js.stRecomputeS
-	rep.ComputeS = computeS
-	if computeS <= 0 {
-		s.endStage(js, rep, computeRates, now)
-		return
-	}
-	js.phase = phaseCompute
-	js.loadDeltas = e.computeLoadDeltas(js.loadDeltas, js.layout)
-	s.holdLoad(js)
-	s.extendDeadline(now + computeS)
-	e.sim.After(computeS, func(end float64) {
-		if s.err != nil || js.phase != phaseCompute {
-			return
-		}
-		s.releaseLoad(js)
-		s.endStage(js, rep, computeRates, end)
-	})
+	rep.ComputeS = computeS + js.stRecomputeS
+	return rep
 }
 
 // endStage records the stage and moves the job to its next one.
 func (s *JobSet) endStage(js *jobState, rep StageReport, computeRates []float64, now float64) {
+	s.advance(js, rep)
+	s.startStage(js, computeRates, now)
+}
+
+// advance records a finished stage and steps the job past it.
+func (s *JobSet) advance(js *jobState, rep StageReport) {
 	js.res.Stages = append(js.res.Stages, rep)
 	stage := js.run.Job.Stages[js.stage]
 	for j := range js.layout {
 		js.layout[j] *= stage.Selectivity
 	}
 	js.stage++
-	s.startStage(js, computeRates, now)
 }
 
 // finishJob completes a job's state machine.
@@ -529,6 +561,57 @@ func (s *JobSet) finishJob(js *jobState, now float64) {
 	if s.onDone != nil {
 		s.onDone(js.idx, js.res)
 	}
+}
+
+// runSync drives a one-job set through the stage machine with a
+// synchronous clock driver — RunJob's fault-intolerant path. It owns
+// the clock: each transfer phase is awaited (AwaitFlows) and each
+// compute phase run out (RunFor) before the job moves on, so a phase
+// ends only after every event at its end instant has fired, where Run
+// ends it inside the completing event. Goldens pin both orders. A
+// fault-failed flow or an undrained transfer fails the run; every
+// outstanding flow is stopped first, so a failed run cannot leak live
+// flows into a substrate shared with other tenants.
+func (s *JobSet) runSync() (RunResult, error) {
+	e := s.eng
+	js := s.states[0]
+	computeRates := e.ComputeRates()
+	s.running = 1
+	js.startedAt = e.sim.Now()
+	for js.stage < len(js.run.Job.Stages) {
+		recs, err := s.placeStage(js, nil, e.sim.Now(), nil)
+		if err != nil {
+			return RunResult{}, err
+		}
+		if len(js.flows) > 0 {
+			err = e.sim.AwaitFlows(e.MaxStageTransferS, js.flows...)
+			s.releaseLoad(js)
+			for _, rec := range recs {
+				if err == nil && rec.f.Failed() {
+					err = fmt.Errorf("flow #%d dc%d->dc%d failed by a fault (enable Engine.Recovery to survive faults)",
+						rec.f.ID(), rec.pp.i, rec.pp.j)
+				}
+			}
+			if err != nil {
+				for _, f := range js.flows {
+					if !f.Done() {
+						f.Stop()
+					}
+				}
+				return RunResult{}, fmt.Errorf("spark: job %q stage %q: %w", js.run.Job.Name, js.run.Job.Stages[js.stage].Name, err)
+			}
+		}
+		rep := s.closeTransfers(js, computeRates, e.sim.Now())
+		if rep.ComputeS > 0 {
+			js.loadDeltas = e.computeLoadDeltas(js.loadDeltas, js.layout)
+			s.holdLoad(js)
+			e.sim.RunFor(rep.ComputeS)
+			s.releaseLoad(js)
+		}
+		s.advance(js, rep)
+	}
+	s.finishJob(js, e.sim.Now())
+	return js.res, nil
 }
 
 // holdLoad shifts the job's current loadDeltas into the shared ledger

@@ -84,8 +84,10 @@ func TestLoadLedgerComposesDuringPhases(t *testing.T) {
 
 // TestJobSetSingleJobMatchesRunJob locks the equivalence contract: a
 // JobSet of one job reproduces RunJob's result exactly (same flows at
-// the same instants on an identically-seeded cluster), so the
-// single-job path is unchanged by the multi-job machinery.
+// the same instants on an identically-seeded cluster) as long as no
+// other timer fires at the instant a phase ends — the two clock
+// drivers order such ties differently (see
+// TestRunJobEndsPhaseAfterSameInstantTimers).
 func TestJobSetSingleJobMatchesRunJob(t *testing.T) {
 	job := testJob("solo", 4, 8e9)
 
@@ -128,6 +130,46 @@ func TestJobSetSingleJobMatchesRunJob(t *testing.T) {
 	}
 	if got.MakespanS != want.JCTSeconds {
 		t.Errorf("makespan %v != JCT %v", got.MakespanS, want.JCTSeconds)
+	}
+}
+
+// TestRunJobEndsPhaseAfterSameInstantTimers pins the one ordering in
+// which RunJob's synchronous driver and JobSet.Run differ: a foreign
+// timer due at the very instant a compute phase ends. RunJob runs the
+// clock through that instant (RunFor) before starting the next stage,
+// so the timer sees no flows; Run ends the phase inside the compute
+// timer's own event, so the next stage's shuffle flows are already in
+// flight when the later-scheduled timer fires.
+func TestRunJobEndsPhaseAfterSameInstantTimers(t *testing.T) {
+	job := testJob("tie", 3, 3e9)
+	run := func(set bool) int {
+		sim := frozenSim(3, 31)
+		eng := NewEngine(sim, cost.DefaultRates())
+		// Stage 0 is a local map stage: no transfer, so its compute
+		// phase spans [0, c] exactly.
+		c := computeSeconds(job.Stages[0], job.InputBytes, eng.ComputeRates())
+		seen := -1
+		// Re-arm at c/2 so the probe is queued after the compute timer
+		// the drivers schedule at t=0, yet due at the same instant.
+		sim.After(c/2, func(float64) {
+			sim.After(c/2, func(float64) { seen = sim.ActiveFlows() })
+		})
+		var err error
+		if set {
+			_, err = eng.RunJobSet([]JobRun{{Job: job, Sched: localitySched{}, Policy: SingleConn{}}})
+		} else {
+			_, err = eng.RunJob(job, localitySched{}, SingleConn{})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seen
+	}
+	if got := run(false); got != 0 {
+		t.Errorf("RunJob: %d flows active at the phase-end instant, want 0", got)
+	}
+	if got := run(true); got <= 0 {
+		t.Errorf("RunJobSet: %d flows active at the phase-end instant, want the next stage's", got)
 	}
 }
 

@@ -20,9 +20,10 @@ import (
 // first). Everything runs through substrate timers, so recovery is as
 // deterministic as the fault schedule that triggered it.
 type RecoveryConfig struct {
-	// Enabled turns fault recovery on. Off by default: fault-free runs
-	// are byte-identical either way, and synchronous RunJob calls are
-	// delegated to the (equivalent) JobSet path only when enabled.
+	// Enabled turns fault recovery on. Off by default. When enabled,
+	// RunJob runs a JobSet of one instead of its synchronous driver;
+	// fault-free runs are byte-identical either way unless another
+	// timer fires at a phase's end instant (see Engine.RunJob).
 	Enabled bool
 	// DetectS batches flow failures before launching a recovery wave,
 	// modeling the failure-detection latency of a driver heartbeat.

@@ -300,9 +300,10 @@ func TestLoadHoldReleaseIdempotent(t *testing.T) {
 
 // TestRecoveryEnabledFaultFreeIdentical locks the opt-in contract:
 // with no fault in the schedule, enabling recovery changes nothing
-// observable — RunJob delegates to the equivalent JobSet path (same
-// flows at the same instants, up to clock-advance rounding) and no
-// recovery machinery ever engages.
+// observable — RunJob runs a JobSet of one instead of its synchronous
+// driver (same flows at the same instants, up to clock-advance
+// rounding, with no other timer due at a phase end) and no recovery
+// machinery ever engages.
 func TestRecoveryEnabledFaultFreeIdentical(t *testing.T) {
 	job := faultJob(3, 12e9)
 	simA := frozenSim(3, 29)

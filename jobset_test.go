@@ -134,7 +134,7 @@ func TestJobSetControllerArbitratesForAllJobs(t *testing.T) {
 	}
 	// EnableJobSet without Runtime leaves no controller; start one by
 	// hand with a staleness clock through the framework path.
-	ctl := fw.StartJobSetController()
+	ctl := fw.StartController(fwCfg.Optimize)
 	_ = ctl
 	defer fw.StopAgents()
 	if fw.Controller() == nil {

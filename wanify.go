@@ -84,13 +84,11 @@ type Framework struct {
 	// since plans outlive the next replan in agents and the controller).
 	optScratch optimize.Scratch
 
-	// Multi-job deployment state (EnableJobSet).
-	jobAgents  [][]*agent.Agent
-	jobSetOpts JobSetOptions
-	throttled  bool // cluster-level tc limits installed by the job set
-
-	// Dynamic slot state (EnableDynamicJobSet; see dynamic.go).
-	dyn *dynamicState
+	// Multi-job deployment state (EnableJobSet, EnableDynamicJobSet;
+	// see roster.go): one agent group per slot.
+	roster    *roster
+	jobAgents [][]*agent.Agent
+	throttled bool // cluster-level tc limits installed by the job set
 }
 
 // New builds a Framework around a trained prediction model.
@@ -178,19 +176,24 @@ func (f *Framework) Plan() optimize.Plan { return f.plan }
 func (f *Framework) DeployAgents(pred bwmatrix.Matrix, plan optimize.Plan) []*agent.Agent {
 	f.StopAgents()
 	f.deployed = pred.Clone()
+	f.agents = f.deployGroup(f.cfg.Agent, agent.ChunkPlan(f.cfg.Cluster, pred, plan))
+	return f.agents
+}
+
+// deployGroup starts one agent per VM, each loaded with its row of a
+// chunked plan — a single-job deployment's agents, or one job-set slot's.
+func (f *Framework) deployGroup(cfg agent.Config, rows map[substrate.VMID]agent.PlanRow) []*agent.Agent {
 	sim := f.cfg.Cluster
-	rows := agent.ChunkPlan(sim, pred, plan)
-	var agents []*agent.Agent
+	var group []*agent.Agent
 	for dc := 0; dc < sim.NumDCs(); dc++ {
 		for _, vm := range sim.VMsOfDC(dc) {
-			a := agent.New(sim, vm, f.cfg.Agent)
+			a := agent.New(sim, vm, cfg)
 			a.ApplyPlan(rows[vm])
 			a.Start()
-			agents = append(agents, a)
+			group = append(group, a)
 		}
 	}
-	f.agents = agents
-	return agents
+	return group
 }
 
 // Agents returns the currently deployed agents (nil when none).
@@ -226,7 +229,7 @@ func (f *Framework) StopAgents() {
 	f.agents = nil
 	f.jobAgents = nil
 	f.deployed = nil
-	f.dyn = nil
+	f.roster = nil
 }
 
 // Controller returns the running re-gauging controller, or nil when
@@ -236,10 +239,15 @@ func (f *Framework) Controller() *rgauge.Controller { return f.controller }
 // StartController launches the mid-job re-gauging loop over the
 // currently deployed agents, re-planning with the given optimizer
 // options whenever drift or staleness triggers (internal/runtime).
-// Enable calls this automatically when Config.Runtime.Enabled is set;
-// callers driving the deploy steps by hand (including ones whose plan
-// was built from a measured rather than predicted matrix) can invoke
-// it directly after DeployAgents.
+// Enable, EnableJobSet and EnableDynamicJobSet call this automatically
+// when Config.Runtime.Enabled is set; callers driving the deploy steps
+// by hand (including ones whose plan was built from a measured rather
+// than predicted matrix) can invoke it directly after DeployAgents or
+// DeployJobSetAgents. Over a job set it is ONE controller arbitrating
+// for every slot: monitored rates aggregate across jobs per DC pair, a
+// trigger re-gauges the cluster once, and each slot's partition of the
+// new windows swaps in atomically (shares re-evaluated, so
+// bytes-remaining sharing follows job progress).
 func (f *Framework) StartController(opts OptimizeOptions) *rgauge.Controller {
 	if f.deployed == nil {
 		panic("wanify: StartController before DeployAgents")
@@ -247,17 +255,9 @@ func (f *Framework) StartController(opts OptimizeOptions) *rgauge.Controller {
 	if f.controller != nil {
 		f.controller.Stop()
 	}
-	deps := f.controllerDeps(opts)
-	deps.Agents = f.agents
-	f.controller = rgauge.Start(deps, f.cfg.Runtime, f.deployed, f.plan)
-	return f.controller
-}
-
-// controllerDeps builds the snapshot/predict/optimize hooks shared by
-// the single-job and job-set controller paths.
-func (f *Framework) controllerDeps(opts OptimizeOptions) rgauge.Deps {
-	return rgauge.Deps{
+	deps := rgauge.Deps{
 		Cluster: f.cfg.Cluster,
+		Agents:  f.agents,
 		SnapshotOpts: func() measure.Options {
 			return measure.SnapshotOptions(f.rng.Derive("snapshot"))
 		},
@@ -270,6 +270,18 @@ func (f *Framework) controllerDeps(opts OptimizeOptions) rgauge.Deps {
 			return f.Optimize(pred, opts)
 		},
 	}
+	if f.roster != nil {
+		deps.Agents = f.rosterAgents()
+		deps.Groups = f.jobAgents
+		deps.Partition = f.partition
+		if f.cfg.Agent.Throttle {
+			deps.OnPlanSwap = func(_ bwmatrix.Matrix, plan optimize.Plan) {
+				f.applyGlobalThrottles(plan)
+			}
+		}
+	}
+	f.controller = rgauge.Start(deps, f.cfg.Runtime, f.deployed, f.plan)
+	return f.controller
 }
 
 // ConnPolicy returns the connection policy a spark engine should use so
@@ -293,180 +305,4 @@ func (f *Framework) Enable(opts OptimizeOptions) (bwmatrix.Matrix, spark.ConnPol
 		f.StartController(opts)
 	}
 	return pred, f.ConnPolicy(), rep
-}
-
-// --- multi-job deployments (DESIGN.md §5) ---
-
-// JobSetOptions configures a multi-tenant WANify deployment: N
-// concurrent jobs over one cluster, each receiving its share of the
-// global plan's connection windows and achievable-BW targets.
-type JobSetOptions struct {
-	// Jobs is how many concurrent jobs share the cluster.
-	Jobs int
-	// Share selects the partitioning policy (fair, priority,
-	// bytes-remaining).
-	Share optimize.ShareMode
-	// Priorities are the per-job weights under SharePriority (len
-	// Jobs; nil degrades to fair).
-	Priorities []float64
-	// Remaining yields the live per-job remaining bytes under
-	// ShareRemaining — typically spark.JobSet.RemainingBytes. Nil
-	// degrades to fair; the hook is re-polled at every controller
-	// replan so shares track job progress.
-	Remaining func() []float64
-	// Oversubscribe hands every job the WHOLE window instead of a
-	// partition — the naive multi-tenant baseline (each job plans as
-	// if it owned the cluster) the multijob experiment contrasts
-	// against. Off by default.
-	Oversubscribe bool
-	// Optimize carries the §3.3 heterogeneity inputs of the shared
-	// global optimization.
-	Optimize OptimizeOptions
-}
-
-// jobSetShares evaluates the deployment's current share weights.
-func (f *Framework) jobSetShares() []float64 {
-	o := f.jobSetOpts
-	var rem []float64
-	if o.Share == optimize.ShareRemaining && o.Remaining != nil {
-		rem = o.Remaining()
-	}
-	return optimize.ShareWeights(o.Share, o.Jobs, o.Priorities, rem)
-}
-
-// partitionForJobSet splits a global plan per the deployment's policy.
-func (f *Framework) partitionForJobSet(plan optimize.Plan) []optimize.Plan {
-	if f.jobSetOpts.Oversubscribe {
-		parts := make([]optimize.Plan, f.jobSetOpts.Jobs)
-		for g := range parts {
-			parts[g] = plan
-		}
-		return parts
-	}
-	return optimize.PartitionPlan(plan, f.jobSetShares())
-}
-
-// applyGlobalThrottles installs the §3.2.2 BW-rich-link caps at the
-// cluster level: per source DC, links whose achievable bandwidth
-// exceeds the mean are limited to it. Job-set deployments throttle
-// here — once per cluster from the GLOBAL plan — because per-job
-// agents each see only a slice of the achievable bandwidth and would
-// fight over the shared tc limits.
-func (f *Framework) applyGlobalThrottles(plan optimize.Plan) {
-	sim := f.cfg.Cluster
-	n := sim.NumDCs()
-	thresholds := optimize.ThrottleThresholds(plan.MaxBW)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if plan.MaxBW[i][j] > thresholds[i] {
-				sim.SetPairLimit(i, j, thresholds[i])
-			} else {
-				sim.ClearPairLimit(i, j)
-			}
-		}
-	}
-	f.throttled = true
-}
-
-// DeployJobSetAgents partitions the plan across the configured jobs
-// and starts one agent per (job, VM), each loaded with its job's
-// chunk. Any previous deployment (single- or multi-job) is stopped
-// first. Per-job agents run with Throttle off; when Config.Agent
-// requests throttling the deployment installs cluster-level limits
-// from the global plan instead.
-func (f *Framework) DeployJobSetAgents(pred bwmatrix.Matrix, plan optimize.Plan, o JobSetOptions) ([][]*agent.Agent, error) {
-	if o.Jobs < 1 {
-		return nil, fmt.Errorf("wanify: job set needs at least one job, got %d", o.Jobs)
-	}
-	if o.Priorities != nil && len(o.Priorities) != o.Jobs {
-		return nil, fmt.Errorf("wanify: %d priorities for %d jobs", len(o.Priorities), o.Jobs)
-	}
-	f.StopAgents()
-	f.jobSetOpts = o
-	f.deployed = pred.Clone()
-	sim := f.cfg.Cluster
-	agentCfg := f.cfg.Agent
-	agentCfg.Throttle = false
-	parts := f.partitionForJobSet(plan)
-	for g := range parts {
-		rows := agent.ChunkPlan(sim, pred, parts[g])
-		var group []*agent.Agent
-		for dc := 0; dc < sim.NumDCs(); dc++ {
-			for _, vm := range sim.VMsOfDC(dc) {
-				a := agent.New(sim, vm, agentCfg)
-				a.ApplyPlan(rows[vm])
-				a.Start()
-				group = append(group, a)
-			}
-		}
-		f.jobAgents = append(f.jobAgents, group)
-	}
-	if f.cfg.Agent.Throttle {
-		f.applyGlobalThrottles(plan)
-	}
-	return f.jobAgents, nil
-}
-
-// JobAgents returns the per-job agent groups (nil when no job set is
-// deployed).
-func (f *Framework) JobAgents() [][]*agent.Agent { return f.jobAgents }
-
-// JobPolicies returns one connection policy per job, each consulting
-// that job's agents — what a spark.JobRun plugs in as its Policy.
-func (f *Framework) JobPolicies() []spark.ConnPolicy {
-	out := make([]spark.ConnPolicy, len(f.jobAgents))
-	for g, group := range f.jobAgents {
-		out[g] = spark.NewAgentConn(group)
-	}
-	return out
-}
-
-// StartJobSetController launches ONE re-gauging controller arbitrating
-// for every job in the deployed set: monitored rates aggregate across
-// jobs per DC pair, a drift or staleness trigger re-gauges the cluster
-// once, and each job's partition of the new windows swaps in
-// atomically (with shares re-evaluated, so bytes-remaining sharing
-// follows job progress).
-func (f *Framework) StartJobSetController() *rgauge.Controller {
-	if f.jobAgents == nil {
-		panic("wanify: StartJobSetController before DeployJobSetAgents")
-	}
-	if f.controller != nil {
-		f.controller.Stop()
-	}
-	deps := f.controllerDeps(f.jobSetOpts.Optimize)
-	var union []*agent.Agent
-	for _, group := range f.jobAgents {
-		union = append(union, group...)
-	}
-	deps.Agents = union
-	deps.Groups = f.jobAgents
-	deps.Partition = f.partitionForJobSet
-	if f.cfg.Agent.Throttle {
-		deps.OnPlanSwap = func(_ bwmatrix.Matrix, plan optimize.Plan) {
-			f.applyGlobalThrottles(plan)
-		}
-	}
-	f.controller = rgauge.Start(deps, f.cfg.Runtime, f.deployed, f.plan)
-	return f.controller
-}
-
-// EnableJobSet is the multi-tenant Enable: snapshot → predict →
-// optimize once → partition across jobs → deploy per-job agents (plus
-// the shared arbitration controller when Config.Runtime is enabled).
-// It returns the predicted matrix, one connection policy per job, and
-// the measurement bill.
-func (f *Framework) EnableJobSet(o JobSetOptions) (bwmatrix.Matrix, []spark.ConnPolicy, measure.Report, error) {
-	pred, rep := f.DetermineRuntimeBW()
-	plan := f.Optimize(pred, o.Optimize)
-	if _, err := f.DeployJobSetAgents(pred, plan, o); err != nil {
-		return nil, nil, rep, err
-	}
-	if f.cfg.Runtime.Enabled {
-		f.StartJobSetController()
-	}
-	return pred, f.JobPolicies(), rep, nil
 }
